@@ -1,23 +1,40 @@
 //! E14 — Streaming re-estimation at batch granularity (Table, extension).
 //!
-//! Claim evaluated: with warm-started incremental EM and the per-edge
-//! convolution cache, re-estimating after **every** arriving batch costs an
-//! amortized handful of sweeps — affordable at fleet cadence — instead of a
-//! cold restart fan-out per batch, while landing on the same optimum as the
-//! monolithic estimate.
+//! Claim evaluated: warm-started incremental EM re-estimates after **every**
+//! arriving batch at an amortized handful of sweeps — affordable at fleet
+//! cadence — while landing on the same optimum as a cold restart.
 //!
-//! Part 1 runs the fleet-service path ([`ct_pipeline::Fleet::run_streaming`]):
-//! per-mote `SuffStats` batches, one re-estimation each. Part 2 replays a
-//! single mote's stream in radio-sized batches through
-//! [`ct_core::IncrementalEm`] against cold re-estimation from scratch at
-//! every batch, reporting amortized µs/batch for both.
+//! Part 1 runs the fleet-service path ([`ct_pipeline::Fleet::estimate_streaming`]):
+//! per-mote `SuffStats` batches, one re-estimation each. Part 2 is the
+//! warm-start ablation: each app's stream is replayed in radio-sized batches
+//! through [`ct_core::IncrementalEm`] (warm start from the previous optimum)
+//! and through cold EM from ½ on the same cumulative statistics, reporting
+//! µs/batch (median over repeated replays), EM iterations per batch and mae
+//! for both.
 
 use ct_bench::{f2, f4, write_manifest_env, write_result, Table};
-use ct_core::em::{estimate_em, EmOptions};
+use ct_core::em::{estimate_em, EmOptions, EmResult};
 use ct_core::stream::SuffStats;
 use ct_core::IncrementalEm;
 use ct_pipeline::{EnvConfig, Fleet, RunConfig, Session};
 use std::time::Instant;
+
+const APPS: [&str; 3] = ["sense", "event_detect", "oscilloscope"];
+
+/// Runs `f` `reps` times; returns its last output and the median wall time
+/// in seconds.
+fn timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut times = Vec::with_capacity(reps);
+    let mut out = None;
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
+        out = Some(f());
+        times.push(start.elapsed().as_secs_f64());
+    }
+    times.sort_by(f64::total_cmp);
+    // At least one repetition ran.
+    (out.expect("one repetition"), times[times.len() / 2])
+}
 
 fn main() {
     let env = EnvConfig::load();
@@ -25,16 +42,16 @@ fn main() {
     let n = env.pick(600, 120);
     let motes = env.pick(8, 3);
     let batches = env.pick(12, 4);
+    let reps = env.pick(21, 3);
     let seed = env.seed_or(33);
 
     let mut table = Table::new(vec![
+        "app",
         "path",
         "batches",
         "samples",
-        "total ms",
         "us/batch",
         "iters/batch",
-        "cache hit rate",
         "mae",
     ]);
 
@@ -42,134 +59,116 @@ fn main() {
     // re-estimated as each arrives.
     let fleet = Fleet::new(RunConfig::new("sense").invocations(n).seeded(seed), motes);
     let fleet_run = fleet.run().expect("fleet runs clean");
-    let start = Instant::now();
-    let report = fleet
-        .estimate_streaming(&fleet_run)
-        .expect("streaming estimation succeeds");
-    let elapsed = start.elapsed();
-    assert!(
-        report.cache_hits > 0,
-        "streaming fleet estimation produced no convolution-cache hits"
-    );
+    let (report, secs) = timed(reps, || {
+        fleet
+            .estimate_streaming(&fleet_run)
+            .expect("streaming estimation succeeds")
+    });
     let total_iters: usize = report.batch_iterations.iter().sum();
     table.row(vec![
+        "sense".to_string(),
         "fleet streaming".to_string(),
         report.batches.to_string(),
         ct_core::samples::DurationSamples::len(&fleet_run.stats).to_string(),
-        f2(elapsed.as_secs_f64() * 1e3),
-        f2(elapsed.as_secs_f64() * 1e6 / report.batches as f64),
+        f2(secs * 1e6 / report.batches as f64),
         f2(total_iters as f64 / report.batches as f64),
-        f4(report.cache_hits as f64 / (report.cache_hits + report.cache_misses).max(1) as f64),
         f4(report.estimated.accuracy.mae),
     ]);
 
-    // Part 2: one mote's stream replayed in radio-sized batches —
-    // incremental (warm + cached) vs cold re-estimation per batch.
-    let session = Session::new(RunConfig::new("sense").invocations(n).seeded(seed));
-    let run = session.collect().expect("runs clean");
-    let cfg = run.cfg().clone();
-    let ticks = run.samples.ticks();
-    let cpt = run.samples.cycles_per_tick();
-    let chunk = ticks.len().div_ceil(batches);
-    let deltas: Vec<SuffStats> = ticks
-        .chunks(chunk.max(1))
-        .map(|c| {
-            let mut s = SuffStats::new(cpt);
-            for &t in c {
-                s.push(t);
-            }
-            s
-        })
-        .collect();
-
+    // Part 2: warm-start ablation — each app's stream replayed in
+    // radio-sized batches, warm (incremental) vs cold re-estimation.
     let opts = EmOptions::default();
-    let start = Instant::now();
-    let mut inc = IncrementalEm::new(cpt, opts);
-    let mut inc_iters = 0usize;
-    for d in &deltas {
-        inc.ingest(d).expect("same resolution");
-        inc_iters += inc
-            .reestimate(&cfg, &run.block_costs, &run.edge_costs)
-            .expect("incremental EM succeeds")
-            .iterations;
-    }
-    let inc_elapsed = start.elapsed();
-    let inc_result = inc.last().expect("estimated").clone();
-    assert!(
-        inc.cache_hits() > 0,
-        "incremental replay produced no convolution-cache hits"
-    );
-    let inc_acc = ct_core::accuracy::compare(
-        &cfg,
-        &inc_result.probs,
-        &run.truth,
-        &run.truth_profile,
-        run.invocations,
-    );
-    table.row(vec![
-        "incremental (warm+cache)".to_string(),
-        deltas.len().to_string(),
-        ticks.len().to_string(),
-        f2(inc_elapsed.as_secs_f64() * 1e3),
-        f2(inc_elapsed.as_secs_f64() * 1e6 / deltas.len() as f64),
-        f2(inc_iters as f64 / deltas.len() as f64),
-        f4(inc.cache_hits() as f64 / (inc.cache_hits() + inc.cache_misses()).max(1) as f64),
-        f4(inc_acc.mae),
-    ]);
+    let mut speedups = Vec::new();
+    for app in APPS {
+        let session = Session::new(RunConfig::new(app).invocations(n).seeded(seed));
+        let run = session.collect().expect("runs clean");
+        let cfg = run.cfg().clone();
+        let ticks = run.samples.ticks();
+        let cpt = run.samples.cycles_per_tick();
+        let chunk = ticks.len().div_ceil(batches);
+        let deltas: Vec<SuffStats> = ticks
+            .chunks(chunk.max(1))
+            .map(|c| {
+                let mut s = SuffStats::new(cpt);
+                for &t in c {
+                    s.push(t);
+                }
+                s
+            })
+            .collect();
 
-    let start = Instant::now();
-    let mut acc = SuffStats::new(cpt);
-    let mut cold_iters = 0usize;
-    let mut cold_result = None;
-    for d in &deltas {
-        acc.merge(d).expect("same resolution");
-        let r = estimate_em(&cfg, &run.block_costs, &run.edge_costs, &acc, opts)
-            .expect("cold EM succeeds");
-        cold_iters += r.iterations;
-        cold_result = Some(r);
-    }
-    let cold_elapsed = start.elapsed();
-    let cold_result = cold_result.expect("at least one batch");
-    let cold_acc = ct_core::accuracy::compare(
-        &cfg,
-        &cold_result.probs,
-        &run.truth,
-        &run.truth_profile,
-        run.invocations,
-    );
-    table.row(vec![
-        "cold per batch".to_string(),
-        deltas.len().to_string(),
-        ticks.len().to_string(),
-        f2(cold_elapsed.as_secs_f64() * 1e3),
-        f2(cold_elapsed.as_secs_f64() * 1e6 / deltas.len() as f64),
-        f2(cold_iters as f64 / deltas.len() as f64),
-        "0.0000".to_string(),
-        f4(cold_acc.mae),
-    ]);
+        let ((warm_result, warm_iters), warm_secs) = timed(reps, || {
+            let mut inc = IncrementalEm::new(cpt, opts);
+            let mut iters = 0usize;
+            for d in &deltas {
+                inc.ingest(d).expect("same resolution");
+                iters += inc
+                    .reestimate(&cfg, &run.block_costs, &run.edge_costs)
+                    .expect("incremental EM succeeds")
+                    .iterations;
+            }
+            (inc.last().expect("estimated").clone(), iters)
+        });
+        let ((cold_result, cold_iters), cold_secs) = timed(reps, || {
+            let mut acc = SuffStats::new(cpt);
+            let mut iters = 0usize;
+            let mut last: Option<EmResult> = None;
+            for d in &deltas {
+                acc.merge(d).expect("same resolution");
+                let r = estimate_em(&cfg, &run.block_costs, &run.edge_costs, &acc, opts)
+                    .expect("cold EM succeeds");
+                iters += r.iterations;
+                last = Some(r);
+            }
+            (last.expect("at least one batch"), iters)
+        });
 
-    // Warm starts move the optimization path, not the optimum: both batch
-    // replays must land on (numerically) the same parameters.
-    for (a, b) in inc_result
-        .probs
-        .as_slice()
-        .iter()
-        .zip(cold_result.probs.as_slice())
-    {
-        assert!(
-            (a - b).abs() < 5e-3,
-            "incremental {a} diverged from cold {b}"
-        );
+        // Warm starts move the optimization path, not the optimum: both
+        // batch replays must land on (numerically) the same parameters.
+        for (a, b) in warm_result
+            .probs
+            .as_slice()
+            .iter()
+            .zip(cold_result.probs.as_slice())
+        {
+            assert!(
+                (a - b).abs() < 5e-3,
+                "{app}: warm {a} diverged from cold {b}"
+            );
+        }
+
+        for (path, result, iters, secs) in [
+            ("warm (incremental)", &warm_result, warm_iters, warm_secs),
+            ("cold per batch", &cold_result, cold_iters, cold_secs),
+        ] {
+            let acc = ct_core::accuracy::compare(
+                &cfg,
+                &result.probs,
+                &run.truth,
+                &run.truth_profile,
+                run.invocations,
+            );
+            table.row(vec![
+                app.to_string(),
+                path.to_string(),
+                deltas.len().to_string(),
+                ticks.len().to_string(),
+                f2(secs * 1e6 / deltas.len() as f64),
+                f2(iters as f64 / deltas.len() as f64),
+                f4(acc.mae),
+            ]);
+        }
+        speedups.push(format!("{app} {:.1}x", cold_secs / warm_secs.max(1e-9)));
     }
 
-    let speedup = cold_elapsed.as_secs_f64() / inc_elapsed.as_secs_f64().max(1e-9);
     let out = format!(
         "# E14 — Streaming re-estimation at batch granularity\n\n\
-         `sense`, {motes} motes / {batches} replay batches, seed {seed}. Incremental EM\n\
-         warm-starts each re-estimation from the previous optimum and reuses cached\n\
-         windowed convolutions across batches; cold EM restarts from scratch each time.\n\
-         Incremental replay speedup over cold: {speedup:.1}x.\n\
+         {motes} motes / {batches} replay batches, seed {seed}, µs/batch the median of\n\
+         {reps} replays. Warm (incremental) EM starts each re-estimation from the\n\
+         previous optimum; cold EM restarts from ½ on the same cumulative samples.\n\
+         Warm speedup over cold: {}.\n\
          {}\n\n{}",
+        speedups.join(", "),
         env.banner(),
         table.to_markdown()
     );

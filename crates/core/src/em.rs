@@ -13,7 +13,7 @@
 //! This is Baum–Welch on a semi-Markov chain whose emissions are cycle
 //! costs, observed through the timer's quantization kernel.
 
-use crate::fb::{e_step, e_step_cached, EStepCache, FbError, FbParams};
+use crate::fb::{e_step, FbError, FbParams};
 use crate::samples::DurationSamples;
 use ct_cfg::graph::{Cfg, EdgeKind};
 use ct_cfg::profile::BranchProbs;
@@ -99,10 +99,6 @@ pub fn estimate_em<S: DurationSamples + ?Sized>(
 /// Estimates branch probabilities by EM from an explicit starting point
 /// (used for restarts and warm starts).
 ///
-/// Runs with a fresh per-run [`EStepCache`]: within the run, edges whose
-/// forward/backward factors did not change between iterations reuse their
-/// windowed convolution. Results are bit-identical to an uncached run.
-///
 /// # Errors
 ///
 /// Propagates [`FbError`] from the dynamic programs.
@@ -113,67 +109,6 @@ pub fn estimate_em_from<S: DurationSamples + ?Sized>(
     samples: &S,
     init: BranchProbs,
     opts: EmOptions,
-) -> Result<EmResult, FbError> {
-    let mut cache = EStepCache::new();
-    estimate_em_cached(
-        cfg,
-        block_costs,
-        edge_costs,
-        samples,
-        init,
-        opts,
-        &mut cache,
-    )
-}
-
-/// [`estimate_em_from`] against a caller-owned [`EStepCache`], so the cache
-/// survives across calls — the incremental path re-estimates each
-/// [`crate::stream::SuffStats`] batch with the previous batch's cache, and
-/// the warm start makes the first E-step's tables bitwise-identical to the
-/// previous optimum's, turning its convolutions into pure cache hits.
-///
-/// Emits `em.cache.hit` / `em.cache.miss` counter deltas and one `em.cache`
-/// event per run (deterministic content; thread-count-insensitive).
-///
-/// # Errors
-///
-/// Propagates [`FbError`] from the dynamic programs.
-pub fn estimate_em_cached<S: DurationSamples + ?Sized>(
-    cfg: &Cfg,
-    block_costs: &[u64],
-    edge_costs: &[u64],
-    samples: &S,
-    init: BranchProbs,
-    opts: EmOptions,
-    cache: &mut EStepCache,
-) -> Result<EmResult, FbError> {
-    let (h0, m0) = (cache.hits(), cache.misses());
-    let result = estimate_em_loop(cfg, block_costs, edge_costs, samples, init, opts, cache);
-    let (hits, misses) = (cache.hits() - h0, cache.misses() - m0);
-    if hits + misses > 0 {
-        ct_obs::Counter::new("em.cache.hit").add(hits);
-        ct_obs::Counter::new("em.cache.miss").add(misses);
-        ct_obs::emit(
-            "em.cache",
-            vec![
-                ("hits", hits.into()),
-                ("misses", misses.into()),
-                ("hit_rate", (hits as f64 / (hits + misses) as f64).into()),
-                ("enabled", cache.cache_enabled().into()),
-            ],
-        );
-    }
-    result
-}
-
-fn estimate_em_loop<S: DurationSamples + ?Sized>(
-    cfg: &Cfg,
-    block_costs: &[u64],
-    edge_costs: &[u64],
-    samples: &S,
-    init: BranchProbs,
-    opts: EmOptions,
-    cache: &mut EStepCache,
 ) -> Result<EmResult, FbError> {
     let edges = cfg.edges();
     let branch_blocks = cfg.branch_blocks();
@@ -219,15 +154,7 @@ fn estimate_em_loop<S: DurationSamples + ?Sized>(
     let mut last_good: Option<(BranchProbs, f64, Vec<f64>, usize)> = None;
     for iter in 0..opts.max_iter {
         iterations = iter + 1;
-        let (exp, _) = e_step_cached(
-            cfg,
-            block_costs,
-            edge_costs,
-            &probs,
-            samples,
-            opts.fb,
-            cache,
-        )?;
+        let (exp, _) = e_step(cfg, block_costs, edge_costs, &probs, samples, opts.fb)?;
 
         // NaN/underflow guard: a non-finite likelihood or posterior count
         // means the DP degenerated; refuse to iterate on garbage.
@@ -513,84 +440,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.probs, b.probs);
-    }
-
-    #[test]
-    fn cached_em_is_bitwise_identical_to_uncached() {
-        let cfg = diamond_chain(3);
-        let bc = vec![10, 50, 90, 8, 120, 30, 12, 200, 70, 5];
-        let ec = vec![0; cfg.edges().len()];
-        let truth = BranchProbs::from_vec(&cfg, vec![0.9, 0.4, 0.65]);
-        let samples = synth_samples(&cfg, &bc, &ec, &truth, 1000, 1, 11);
-        let init = BranchProbs::uniform(&cfg, 0.5);
-        let mut on = EStepCache::with_cache_enabled(true);
-        let mut off = EStepCache::with_cache_enabled(false);
-        let a = estimate_em_cached(
-            &cfg,
-            &bc,
-            &ec,
-            &samples,
-            init.clone(),
-            EmOptions::default(),
-            &mut on,
-        )
-        .unwrap();
-        let b = estimate_em_cached(
-            &cfg,
-            &bc,
-            &ec,
-            &samples,
-            init,
-            EmOptions::default(),
-            &mut off,
-        )
-        .unwrap();
-        assert_eq!(off.hits(), 0);
-        for (x, y) in a.probs.as_slice().iter().zip(b.probs.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(a.loglik.to_bits(), b.loglik.to_bits());
-        assert_eq!(a.iterations, b.iterations);
-        for (x, y) in a.edge_counts.iter().zip(&b.edge_counts) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn warm_started_rerun_hits_the_cache() {
-        // Re-estimating from the previous optimum rebuilds bitwise-identical
-        // tables, so the first E-step's convolutions are all cache hits.
-        let cfg = diamond();
-        let bc = vec![10, 100, 200, 5];
-        let ec = vec![0; 4];
-        let truth = BranchProbs::from_vec(&cfg, vec![0.8]);
-        let samples = synth_samples(&cfg, &bc, &ec, &truth, 800, 1, 12);
-        let mut cache = EStepCache::with_cache_enabled(true);
-        let first = estimate_em_cached(
-            &cfg,
-            &bc,
-            &ec,
-            &samples,
-            BranchProbs::uniform(&cfg, 0.5),
-            EmOptions::default(),
-            &mut cache,
-        )
-        .unwrap();
-        let h0 = cache.hits();
-        let again = estimate_em_cached(
-            &cfg,
-            &bc,
-            &ec,
-            &samples,
-            first.probs.clone(),
-            EmOptions::default(),
-            &mut cache,
-        )
-        .unwrap();
-        assert!(cache.hits() > h0, "warm rerun produced no cache hits");
-        for (x, y) in first.probs.as_slice().iter().zip(again.probs.as_slice()) {
-            assert!((x - y).abs() < 1e-6);
-        }
     }
 
     #[test]

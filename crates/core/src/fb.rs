@@ -35,7 +35,6 @@ use crate::quantize::{duration_window, pmf_tick_score_soa};
 use crate::samples::DurationSamples;
 use ct_cfg::graph::{Cfg, Terminator};
 use ct_cfg::profile::BranchProbs;
-use ct_stats::cache::{ConvCache, ConvKey};
 use ct_stats::pmf::{self, Pmf};
 use std::error::Error;
 use std::fmt;
@@ -390,93 +389,6 @@ pub struct EdgeExpectations {
     pub unexplained: usize,
 }
 
-/// Iteration-to-iteration E-step state: version stamps for every block's
-/// forward/backward PMF plus the per-edge convolution cache they key.
-///
-/// After each table build the cache compares every block's PMF against the
-/// previous iteration **bitwise** ([`Pmf::bits_eq`]) and bumps the block's
-/// version stamp only on change. An edge whose source-arrival version,
-/// target-remaining version, shift, and scoring window all match the cached
-/// entry reuses the previous windowed convolution — bit-identical to
-/// recomputation, so cached and uncached runs are indistinguishable.
-///
-/// The cache is intentionally long-lived: held across EM iterations it
-/// skips convolutions for blocks untouched by a parameter move; held across
-/// batches (incremental estimation) it skips the *entire* first E-step's
-/// convolutions whenever the warm start reproduces the previous optimum's
-/// tables and the observed-tick window is unchanged.
-#[derive(Debug, Clone)]
-pub struct EStepCache {
-    conv: ConvCache,
-    f_version: Vec<u64>,
-    g_version: Vec<u64>,
-    prev_forward: Vec<Pmf>,
-    prev_backward: Vec<Pmf>,
-}
-
-impl Default for EStepCache {
-    fn default() -> Self {
-        EStepCache::new()
-    }
-}
-
-impl EStepCache {
-    /// An empty cache honoring the `CT_CONV_CACHE` environment knob.
-    pub fn new() -> EStepCache {
-        EStepCache::with_cache_enabled(ct_stats::cache::cache_enabled_from_env())
-    }
-
-    /// An empty cache with the enable switch forced (for A/B tests).
-    pub fn with_cache_enabled(enabled: bool) -> EStepCache {
-        EStepCache {
-            conv: ConvCache::with_enabled(0, enabled),
-            f_version: Vec::new(),
-            g_version: Vec::new(),
-            prev_forward: Vec::new(),
-            prev_backward: Vec::new(),
-        }
-    }
-
-    /// Version-stamps freshly built tables: bumps a block's stamp iff its
-    /// PMF changed bitwise since the previous call.
-    fn observe(&mut self, tables: &FbTables) {
-        let n = tables.forward.len();
-        if self.prev_forward.len() != n {
-            // First build (or a different CFG shape): stamp everything.
-            self.prev_forward = tables.forward.clone();
-            self.prev_backward = tables.backward.clone();
-            self.f_version = vec![1; n];
-            self.g_version = vec![1; n];
-            return;
-        }
-        for b in 0..n {
-            if !tables.forward[b].bits_eq(&self.prev_forward[b]) {
-                self.f_version[b] += 1;
-                self.prev_forward[b] = tables.forward[b].clone();
-            }
-            if !tables.backward[b].bits_eq(&self.prev_backward[b]) {
-                self.g_version[b] += 1;
-                self.prev_backward[b] = tables.backward[b].clone();
-            }
-        }
-    }
-
-    /// Convolutions answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.conv.hits()
-    }
-
-    /// Convolutions recomputed.
-    pub fn misses(&self) -> u64 {
-        self.conv.misses()
-    }
-
-    /// Whether cached results may be returned.
-    pub fn cache_enabled(&self) -> bool {
-        self.conv.enabled()
-    }
-}
-
 /// Runs one E-step: builds tables for `probs` and computes posterior expected
 /// edge-traversal counts for `samples` (the entry point the EM loop uses).
 ///
@@ -493,41 +405,6 @@ pub fn e_step<S: DurationSamples + ?Sized>(
     samples: &S,
     params: FbParams,
 ) -> Result<(EdgeExpectations, FbTables), FbError> {
-    e_step_inner(cfg, block_costs, edge_costs, probs, samples, params, None)
-}
-
-/// [`e_step`] with a live [`EStepCache`]: edges whose factor PMFs and
-/// scoring window are unchanged since the previous call reuse their windowed
-/// convolution. Results are bit-identical to the uncached path.
-pub fn e_step_cached<S: DurationSamples + ?Sized>(
-    cfg: &Cfg,
-    block_costs: &[u64],
-    edge_costs: &[u64],
-    probs: &BranchProbs,
-    samples: &S,
-    params: FbParams,
-    cache: &mut EStepCache,
-) -> Result<(EdgeExpectations, FbTables), FbError> {
-    e_step_inner(
-        cfg,
-        block_costs,
-        edge_costs,
-        probs,
-        samples,
-        params,
-        Some(cache),
-    )
-}
-
-fn e_step_inner<S: DurationSamples + ?Sized>(
-    cfg: &Cfg,
-    block_costs: &[u64],
-    edge_costs: &[u64],
-    probs: &BranchProbs,
-    samples: &S,
-    params: FbParams,
-    mut cache: Option<&mut EStepCache>,
-) -> Result<(EdgeExpectations, FbTables), FbError> {
     let cpt = samples.cycles_per_tick();
     let counted = samples.counted();
     // Cap the DPs at the largest observed tick's window: no table entry
@@ -541,9 +418,6 @@ fn e_step_inner<S: DurationSamples + ?Sized>(
         }
     }
     let tables = compute_tables(cfg, block_costs, edge_costs, probs, params)?;
-    if let Some(c) = cache.as_deref_mut() {
-        c.observe(&tables);
-    }
     let edges = cfg.edges();
     let edge_probs = probs.edge_probs(cfg);
     let duration = tables.duration_pmf(cfg);
@@ -598,30 +472,10 @@ fn e_step_inner<S: DurationSamples + ?Sized>(
             if win_lo > win_hi {
                 continue;
             }
-            let score = |h: &Pmf, counts: &mut [f64]| {
-                for &(t_obs, n, z) in &explained {
-                    let acc = pmf_tick_score_soa(h, t_obs, cpt);
-                    counts[e.index] += n as f64 * p_e * acc / z;
-                }
-            };
-            match cache.as_deref_mut() {
-                Some(c) => {
-                    let key = ConvKey {
-                        f_version: c.f_version[e.from.index()],
-                        g_version: c.g_version[e.to.index()],
-                        shift: delta,
-                        lo: win_lo,
-                        hi: win_hi,
-                    };
-                    let h = c.conv.get_or_compute(e.index, key, || {
-                        pmf::convolve_window_pmf(f_u, g_v, delta, win_lo, win_hi)
-                    });
-                    score(h, &mut counts);
-                }
-                None => {
-                    let h = pmf::convolve_window_pmf(f_u, g_v, delta, win_lo, win_hi);
-                    score(&h, &mut counts);
-                }
+            let h = pmf::convolve_window_pmf(f_u, g_v, delta, win_lo, win_hi);
+            for &(t_obs, n, z) in &explained {
+                let acc = pmf_tick_score_soa(&h, t_obs, cpt);
+                counts[e.index] += n as f64 * p_e * acc / z;
             }
         }
     }

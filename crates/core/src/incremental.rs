@@ -8,10 +8,11 @@
 //! - folds each delta into the running [`SuffStats`] (exact, order-insensitive
 //!   merge — see [`crate::stream`]);
 //! - **warm-starts** each re-estimation from the previous optimum, so EM
-//!   converges in a handful of sweeps per batch instead of a full run; and
-//! - carries one [`EStepCache`] across batches: the warm start rebuilds the
-//!   previous forward/backward tables bitwise, so the edges whose observation
-//!   windows did not change turn their windowed convolutions into cache hits.
+//!   converges in a handful of sweeps per batch instead of a full run.
+//!
+//! The warm start is the only state carried from one re-estimation to the
+//! next: `reestimate` is exactly [`estimate_em_from`] on the cumulative
+//! statistics, starting from the previous estimate's probabilities.
 //!
 //! ## Convergence contract
 //!
@@ -20,11 +21,10 @@
 //! warm start changes the starting point, never the objective, so every
 //! per-batch estimate is a genuine EM fixed point (up to `tol`) for its
 //! cumulative sample set. The sequence of estimates is deterministic given
-//! the batch sequence, independent of `CT_THREADS`, and identical with the
-//! convolution cache on or off.
+//! the batch sequence and independent of `CT_THREADS`.
 
-use crate::em::{estimate_em_cached, EmOptions, EmResult};
-use crate::fb::{EStepCache, FbError};
+use crate::em::{estimate_em_from, EmOptions, EmResult};
+use crate::fb::FbError;
 use crate::stream::SuffStats;
 use ct_cfg::graph::Cfg;
 use ct_cfg::profile::BranchProbs;
@@ -37,7 +37,6 @@ use ct_cfg::profile::BranchProbs;
 pub struct IncrementalEm {
     stats: SuffStats,
     last: Option<EmResult>,
-    cache: EStepCache,
     opts: EmOptions,
     batches: u64,
 }
@@ -48,7 +47,6 @@ impl IncrementalEm {
         IncrementalEm {
             stats: SuffStats::new(cycles_per_tick),
             last: None,
-            cache: EStepCache::new(),
             opts,
             batches: 0,
         }
@@ -58,11 +56,10 @@ impl IncrementalEm {
     /// statistics, the estimate the interrupted run last produced (the next
     /// warm start), and the ingested-batch count.
     ///
-    /// The convolution cache intentionally starts empty — it is a pure
-    /// performance artifact (cache on/off is bitwise identical), so a
-    /// restored accumulator's subsequent re-estimations are bitwise
-    /// identical to the uninterrupted run's: same statistics, same warm
-    /// start, same objective.
+    /// That is all the state a re-estimation reads, so a restored
+    /// accumulator's subsequent re-estimations are bitwise identical to the
+    /// uninterrupted run's: same statistics, same warm start, same
+    /// objective.
     pub fn restore(
         stats: SuffStats,
         last: Option<EmResult>,
@@ -72,7 +69,6 @@ impl IncrementalEm {
         IncrementalEm {
             stats,
             last,
-            cache: EStepCache::new(),
             opts,
             batches,
         }
@@ -113,8 +109,7 @@ impl IncrementalEm {
     /// previous optimum (uniform ½ on the first call).
     ///
     /// Emits one `em.incremental` event per call and bumps the
-    /// `em.incremental.batches` counter; cache effectiveness is reported by
-    /// the underlying [`estimate_em_cached`] run (`em.cache.*`).
+    /// `em.incremental.batches` counter.
     ///
     /// # Errors
     ///
@@ -130,15 +125,7 @@ impl IncrementalEm {
             Some(r) => r.probs.clone(),
             None => BranchProbs::uniform(cfg, 0.5),
         };
-        let r = estimate_em_cached(
-            cfg,
-            block_costs,
-            edge_costs,
-            &self.stats,
-            init,
-            self.opts,
-            &mut self.cache,
-        )?;
+        let r = estimate_em_from(cfg, block_costs, edge_costs, &self.stats, init, self.opts)?;
         ct_obs::Counter::new("em.incremental.batches").incr();
         ct_obs::emit(
             "em.incremental",
@@ -173,24 +160,14 @@ impl IncrementalEm {
     pub fn batches(&self) -> u64 {
         self.batches
     }
-
-    /// Convolution-cache hits accumulated across all re-estimations.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Convolution-cache misses accumulated across all re-estimations.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache.misses()
-    }
 }
 
 /// Folds a sequence of [`SuffStats`] batches through an [`IncrementalEm`],
 /// re-estimating after every batch, and returns the final estimate.
 ///
 /// This is the batch-granularity streaming path the fleet service uses: the
-/// amortized per-batch cost is a few warm EM sweeps plus the cache-missed
-/// convolutions, not a cold restart fan-out.
+/// amortized per-batch cost is a few warm EM sweeps, not a cold restart
+/// fan-out.
 ///
 /// # Errors
 ///
@@ -282,7 +259,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_reestimation_converges_faster_and_hits_the_cache() {
+    fn warm_reestimation_converges_faster() {
         let cfg = diamond();
         let bc = [10u64, 100, 200, 5];
         let ec = [0u64; 4];
@@ -290,16 +267,49 @@ mod tests {
         inc.ingest(&batch_of(&mixture_ticks(400, 150))).unwrap();
         let cold_iters = inc.reestimate(&cfg, &bc, &ec).unwrap().iterations;
         // A small delta barely moves the optimum: the warm start lands near
-        // the fixed point and the rebuilt tables replay cached convolutions.
+        // the fixed point.
         inc.ingest(&batch_of(&mixture_ticks(8, 3))).unwrap();
-        let h0 = inc.cache_hits();
         let warm_iters = inc.reestimate(&cfg, &bc, &ec).unwrap().iterations;
         assert!(
             warm_iters <= cold_iters,
             "warm {warm_iters} vs cold {cold_iters}"
         );
-        assert!(inc.cache_hits() > h0, "warm re-estimation missed the cache");
         assert_eq!(inc.batches(), 2);
+    }
+
+    #[test]
+    fn reestimate_is_em_from_the_previous_estimate_on_cumulative_stats() {
+        // The warm start is the only state carried across batches: every
+        // round equals a fresh `estimate_em_from` on the cumulative
+        // statistics, started at the previous round's probabilities.
+        let cfg = diamond();
+        let bc = [10u64, 100, 200, 5];
+        let ec = [0u64; 4];
+        let opts = EmOptions::default();
+        let mut inc = IncrementalEm::new(1, opts);
+        for ticks in [
+            mixture_ticks(80, 40),
+            mixture_ticks(50, 70),
+            mixture_ticks(90, 20),
+        ] {
+            let init = match inc.last() {
+                Some(r) => r.probs.clone(),
+                None => BranchProbs::uniform(&cfg, 0.5),
+            };
+            inc.ingest(&batch_of(&ticks)).unwrap();
+            let expected = estimate_em_from(&cfg, &bc, &ec, inc.stats(), init, opts).unwrap();
+            let got = inc.reestimate(&cfg, &bc, &ec).unwrap();
+            assert_eq!(got.iterations, expected.iterations);
+            assert_eq!(got.loglik.to_bits(), expected.loglik.to_bits());
+            for (x, y) in got.probs.as_slice().iter().zip(expected.probs.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+            assert_eq!(got.edge_counts.len(), expected.edge_counts.len());
+            for (x, y) in got.edge_counts.iter().zip(&expected.edge_counts) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+        assert_eq!(inc.batches(), 3);
     }
 
     #[test]

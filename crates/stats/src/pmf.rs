@@ -198,19 +198,6 @@ impl Pmf {
         let end = self.keys.partition_point(|&d| d <= hi);
         (start, end)
     }
-
-    /// Bitwise equality: same keys, same mass bit patterns. This is the
-    /// invalidation predicate of the per-edge convolution cache — reused
-    /// factors must be indistinguishable from recomputed ones.
-    pub fn bits_eq(&self, other: &Pmf) -> bool {
-        self.keys == other.keys
-            && self.mass.len() == other.mass.len()
-            && self
-                .mass
-                .iter()
-                .zip(&other.mass)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
 }
 
 /// Windowed convolution with shift: returns the PMF
@@ -505,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn pmf_roundtrip_and_bits_eq() {
+    fn pmf_roundtrip() {
         let raw = vec![(5, 0.25), (3, 0.5), (5, 0.125), (3, 0.1), (7, 0.025)];
         let mut coalesced = raw.clone();
         coalesce(&mut coalesced);
@@ -513,9 +500,5 @@ mod tests {
         assert_eq!(p.entries(), coalesced);
         assert_eq!(p.len(), 3);
         assert!((p.total_mass() - 1.0).abs() < 1e-12);
-        let q = Pmf::from_sorted(p.entries());
-        assert!(p.bits_eq(&q));
-        let r = Pmf::from_sorted(vec![(3, 0.6), (5, 0.375), (7, 0.026)]);
-        assert!(!p.bits_eq(&r));
     }
 }

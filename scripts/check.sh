@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Lint gate: formatting and clippy across the whole workspace, warnings as
-# errors. Run before pushing; CI runs the same two commands.
+# Pre-push gate: formatting, clippy (warnings as errors), rustdoc, the whole
+# workspace test suite, then the experiment smoke runs and trajectory gates.
+# Run before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,7 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo clippy (unwrap audit: every library crate) =="
 # Estimation, fault-injection, observability, mote-interpreter, numeric
-# substrate (convolution cache), pipeline (checkpoint decode, fleet
+# substrate (PMF kernels, solvers), pipeline (checkpoint decode, fleet
 # ingestion), app corpus, NLC front end, the sharded estimation service,
 # and the graph/profiling substrate (CFG, Markov chains, placement,
 # profilers) must not panic on data: surface any unwrap()/expect() as
@@ -29,6 +30,9 @@ echo "== cargo doc (deny warnings) =="
 # dependency shims (rand, proptest, criterion) are not ours to document.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
     --exclude rand --exclude proptest --exclude criterion
+
+echo "== cargo test --workspace (every crate's unit, integration and doc tests) =="
+cargo test --workspace -q
 
 echo "== merge property tests (streaming ingestion fast path) =="
 cargo test --release -p ct-pipeline --test merge_props --quiet

@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks: placement algorithm throughput on growing
-//! CFGs.
+//! CFGs (`diamond_chain(k)` has 3k + 1 blocks, so k = 1024 is 3073).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ct_cfg::builder::diamond_chain;
@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 fn bench_placement(c: &mut Criterion) {
     let mut group = c.benchmark_group("placement");
-    for k in [4usize, 16, 64] {
+    for k in [4usize, 16, 64, 256, 1024] {
         let cfg = diamond_chain(k);
         let weights: Vec<f64> = (0..cfg.edges().len())
             .map(|i| ((i * 37) % 100) as f64)

@@ -4,7 +4,9 @@
 //! A sensor procedure's execution is an absorbing chain: basic blocks are
 //! transient states and the return block absorbs. The fundamental matrix
 //! `N = (I − Q)⁻¹` gives expected visit counts, the quantity the paper's
-//! estimators reconstruct from timing data.
+//! estimators reconstruct from timing data. Queries need one row of `N`, so
+//! the analysis keeps the LU factors of `I − Q` and solves for that row
+//! ([`Lu::inverse_row`]) instead of forming `N`.
 
 use crate::chain::{ChainError, Dtmc};
 use ct_stats::matrix::Matrix;
@@ -17,14 +19,13 @@ pub struct AbsorbingAnalysis {
     transient: Vec<usize>,
     /// Absorbing state indices (original numbering), in order.
     absorbing: Vec<usize>,
-    /// Fundamental matrix `N = (I − Q)⁻¹` over transient states.
-    fundamental: Matrix,
-    /// `R`: transient → absorbing one-step probabilities.
-    r: Matrix,
+    /// LU factors of `I − Q` over transient states, and `R`, the transient
+    /// → absorbing one-step probabilities; `None` when every state absorbs.
+    factored: Option<(Lu, Matrix)>,
 }
 
 impl AbsorbingAnalysis {
-    /// Decomposes `chain` and computes its fundamental matrix.
+    /// Decomposes `chain` and factors `I − Q`.
     ///
     /// # Errors
     ///
@@ -39,13 +40,10 @@ impl AbsorbingAnalysis {
         }
         let transient = chain.transient_states();
         if transient.is_empty() {
-            // Degenerate: every state absorbs; represent with empty matrices
-            // by special-casing all queries.
             return Ok(AbsorbingAnalysis {
                 transient,
                 absorbing,
-                fundamental: Matrix::identity(1),
-                r: Matrix::identity(1),
+                factored: None,
             });
         }
         let t = transient.len();
@@ -70,14 +68,10 @@ impl AbsorbingAnalysis {
                 .unwrap_or(transient[0]);
             ChainError::AbsorptionUnreachable { state: witness }
         })?;
-        let fundamental = lu
-            .inverse()
-            .map_err(|e| ChainError::Numeric(e.to_string()))?;
         Ok(AbsorbingAnalysis {
             transient,
             absorbing,
-            fundamental,
-            r,
+            factored: Some((lu, r)),
         })
     }
 
@@ -98,17 +92,9 @@ impl AbsorbingAnalysis {
     ///
     /// # Panics
     ///
-    /// Panics if `start` is out of range.
+    /// Panics if `n_states` does not exceed every transient state.
     pub fn expected_visits(&self, start: usize, n_states: usize) -> Vec<f64> {
-        let mut out = vec![0.0; n_states];
-        let Some(si) = self.transient.iter().position(|&s| s == start) else {
-            // Starting absorbed: no transient visits.
-            return out;
-        };
-        for (tj, &sj) in self.transient.iter().enumerate() {
-            out[sj] = self.fundamental[(si, tj)];
-        }
-        out
+        self.spread(self.fundamental_row(start).as_deref(), n_states)
     }
 
     /// Expected number of steps before absorption from `start` (each visit
@@ -120,16 +106,63 @@ impl AbsorbingAnalysis {
     /// Probability of being absorbed in each absorbing state, starting from
     /// `start`. Indexed parallel to [`Self::absorbing`].
     pub fn absorption_probs(&self, start: usize) -> Vec<f64> {
-        let Some(si) = self.transient.iter().position(|&s| s == start) else {
-            // Already absorbed.
+        self.absorbed(start, self.fundamental_row(start).as_deref())
+    }
+
+    /// [`Self::expected_visits`] and [`Self::absorption_probs`] together,
+    /// from one solve for row `start` of `N`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_states` does not exceed every transient state.
+    pub fn visits_and_absorption(&self, start: usize, n_states: usize) -> (Vec<f64>, Vec<f64>) {
+        let row = self.fundamental_row(start);
+        (
+            self.spread(row.as_deref(), n_states),
+            self.absorbed(start, row.as_deref()),
+        )
+    }
+
+    /// Row `start` of `N` over the transient states, bit for bit that row of
+    /// `(I − Q)⁻¹`; `None` when `start` is not transient.
+    fn fundamental_row(&self, start: usize) -> Option<Vec<f64>> {
+        let si = self.transient.iter().position(|&s| s == start)?;
+        let (lu, _) = self.factored.as_ref()?;
+        Some(lu.inverse_row(si))
+    }
+
+    /// Scatters a row of `N` over all `n_states` states (zeros when starting
+    /// absorbed).
+    fn spread(&self, row: Option<&[f64]>, n_states: usize) -> Vec<f64> {
+        let mut out = vec![0.0; n_states];
+        for (&sj, &n) in self.transient.iter().zip(row.unwrap_or_default()) {
+            out[sj] = n;
+        }
+        out
+    }
+
+    /// Absorption probabilities from `start`: the row of `N · R`, summed as
+    /// [`Matrix`] multiplication sums it (ascending over the transient
+    /// states, skipping zero entries of `N`), or certainty of the state
+    /// itself when starting absorbed.
+    fn absorbed(&self, start: usize, row: Option<&[f64]>) -> Vec<f64> {
+        let (Some(row), Some((_, r))) = (row, &self.factored) else {
             return self
                 .absorbing
                 .iter()
                 .map(|&s| if s == start { 1.0 } else { 0.0 })
                 .collect();
         };
-        let b = &self.fundamental * &self.r;
-        (0..self.absorbing.len()).map(|aj| b[(si, aj)]).collect()
+        let mut out = vec![0.0; self.absorbing.len()];
+        for (k, &n) in row.iter().enumerate() {
+            if n == 0.0 {
+                continue;
+            }
+            for (aj, p) in out.iter_mut().enumerate() {
+                *p += n * r[(k, aj)];
+            }
+        }
+        out
     }
 }
 

@@ -20,23 +20,19 @@ use ct_cfg::profile::BranchProbs;
 pub fn expected_visits(cfg: &Cfg, probs: &BranchProbs) -> Result<Vec<f64>, ChainError> {
     let chain = chain_from_cfg(cfg, probs)?;
     let analysis = AbsorbingAnalysis::new(&chain)?;
-    let mut visits = analysis.expected_visits(cfg.entry().index(), cfg.len());
+    let (mut visits, absorbed) = analysis.visits_and_absorption(cfg.entry().index(), cfg.len());
     // The return block is visited exactly once per invocation; the absorbing
     // analysis reports transient visits only.
     for exit in cfg.exit_blocks() {
-        visits[exit.index()] = 1.0 * absorption_share(&analysis, cfg, exit.index());
+        let share = analysis
+            .absorbing()
+            .iter()
+            .position(|&s| s == exit.index())
+            .map(|i| absorbed[i])
+            .unwrap_or(0.0);
+        visits[exit.index()] = 1.0 * share;
     }
     Ok(visits)
-}
-
-fn absorption_share(analysis: &AbsorbingAnalysis, cfg: &Cfg, exit: usize) -> f64 {
-    let probs = analysis.absorption_probs(cfg.entry().index());
-    analysis
-        .absorbing()
-        .iter()
-        .position(|&s| s == exit)
-        .map(|i| probs[i])
-        .unwrap_or(0.0)
 }
 
 /// Expected traversal count of each edge per invocation (indexed by

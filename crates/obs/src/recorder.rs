@@ -636,12 +636,20 @@ mod tests {
     #[test]
     fn cross_thread_buffers_merge_on_join() {
         set_stream_enabled(true);
+        // Join each thread explicitly: a thread's buffer merges in its
+        // thread-local destructor, which the join waits for, but the end of
+        // `thread::scope` only waits for the closures to return.
         std::thread::scope(|scope| {
-            for i in 0..4u64 {
-                scope.spawn(move || {
-                    Counter::new("t.threads.work").add(i + 1);
-                    emit("t.threads.evt", vec![("worker", i.into())]);
-                });
+            let workers: Vec<_> = (0..4u64)
+                .map(|i| {
+                    scope.spawn(move || {
+                        Counter::new("t.threads.work").add(i + 1);
+                        emit("t.threads.evt", vec![("worker", i.into())]);
+                    })
+                })
+                .collect();
+            for w in workers {
+                w.join().expect("worker thread");
             }
         });
         let snap = snapshot();

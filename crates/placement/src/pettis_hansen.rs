@@ -11,8 +11,10 @@
 
 use crate::chains::ChainSet;
 use ct_cfg::dominators::Dominators;
-use ct_cfg::graph::Cfg;
+use ct_cfg::graph::{BlockId, Cfg, Edge};
 use ct_cfg::layout::Layout;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Computes a Pettis–Hansen layout from per-edge weights (expected or
 /// measured traversal counts, indexed by [`Cfg::edges`] order).
@@ -79,54 +81,103 @@ fn ph_with_filter(cfg: &Cfg, edge_weights: &[f64], skip_edge: &[bool]) -> Layout
         chains.merge(e.from, e.to);
     }
 
-    // Concatenate chains: entry chain first, then repeatedly the chain most
-    // strongly connected to what is already placed.
-    let entry_chain = chains.chain_id(cfg.entry());
-    let mut placed: Vec<usize> = vec![entry_chain];
-    let mut remaining: Vec<usize> = (0..cfg.len())
-        .map(|i| chains.chain_id(ct_cfg::graph::BlockId(i as u32)))
-        .filter(|&c| c != entry_chain)
-        .collect();
-    remaining.sort_unstable();
-    remaining.dedup();
-
-    while !remaining.is_empty() {
-        // Connection strength of candidate chain c: total weight of edges
-        // between placed blocks and c's blocks (either direction).
-        let strength = |c: usize| -> f64 {
-            edges
-                .iter()
-                .map(|e| {
-                    let cf = chains.chain_id(e.from);
-                    let ct = chains.chain_id(e.to);
-                    let touches =
-                        (placed.contains(&cf) && ct == c) || (placed.contains(&ct) && cf == c);
-                    if touches {
-                        edge_weights[e.index]
-                    } else {
-                        0.0
-                    }
-                })
-                .sum()
-        };
-        let Some((pos, &best)) = remaining
-            .iter()
-            .enumerate()
-            .max_by(|(_, &a), (_, &b)| strength(a).total_cmp(&strength(b)).then(b.cmp(&a)))
-        else {
-            break; // unreachable: the loop guard keeps `remaining` nonempty
-        };
-        placed.push(best);
-        remaining.remove(pos);
-    }
-
-    let order: Vec<_> = placed
+    let order: Vec<_> = concatenation_order(cfg, &chains, &edges, edge_weights)
         .into_iter()
         .flat_map(|c| chains.chain(c).iter().copied())
         .collect();
     // Chain concatenation covers every block exactly once; degrade to the
     // natural layout rather than panic if that invariant is ever broken.
     Layout::from_order(cfg, order).unwrap_or_else(|| Layout::natural(cfg))
+}
+
+/// Orders the chains for concatenation: the entry's chain first, then
+/// repeatedly the unplaced chain most strongly connected to placed code —
+/// the total weight of the edges between it and placed chains, in either
+/// direction — with ties going to the lowest chain id.
+///
+/// Strengths are kept incrementally: placing a chain changes only the
+/// strengths of the chains it shares an edge with, so only those are
+/// re-summed, and a max-heap with lazy invalidation yields the next chain.
+/// That is O(E log C) plus the re-sums, where rescanning every edge for
+/// every candidate in every round, with a linear lookup of the placed set,
+/// cost O(C³ · E).
+fn concatenation_order(
+    cfg: &Cfg,
+    chains: &ChainSet,
+    edges: &[Edge],
+    edge_weights: &[f64],
+) -> Vec<usize> {
+    let n = cfg.len();
+    let chain_of = |b: BlockId| chains.chain_id(b);
+    // Edges between distinct chains as (edge index, chain at the other
+    // end), listed under both ends in edge-index order; an edge inside one
+    // chain never connects it to anything.
+    let mut cross: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+    for e in edges {
+        let (cf, ct) = (chain_of(e.from), chain_of(e.to));
+        if cf != ct {
+            cross[cf].push((e.index, ct));
+            cross[ct].push((e.index, cf));
+        }
+    }
+    // The connection strength of unplaced chain `c`, bit for bit the sum
+    // `Σ_e (touches(e) ? w_e : 0.0)` over every edge in index order: the fold
+    // starts at `Sum`'s neutral element, and a run of edges that do not touch
+    // adds +0.0 once (adding +0.0 again never changes the result).
+    let strength = |c: usize, placed: &[bool]| -> f64 {
+        let mut acc: f64 = std::iter::empty::<f64>().sum();
+        let mut next = 0;
+        for &(ei, other) in &cross[c] {
+            if placed[other] {
+                if ei > next {
+                    acc += 0.0;
+                }
+                acc += edge_weights[ei];
+                next = ei + 1;
+            }
+        }
+        if next < edges.len() {
+            acc += 0.0;
+        }
+        acc
+    };
+
+    let entry_chain = chain_of(cfg.entry());
+    let mut placed = vec![false; n];
+    placed[entry_chain] = true;
+    let mut order = vec![entry_chain];
+    // `key[c]` is the current strength of unplaced chain `c` as a
+    // `total_cmp`-ordered integer; heap entries whose key differs are stale.
+    let mut key = vec![0i64; n];
+    let mut heap = BinaryHeap::new();
+    for (c, k) in key.iter_mut().enumerate() {
+        if c != entry_chain && !chains.chain(c).is_empty() {
+            *k = total_order_key(strength(c, &placed));
+            heap.push((*k, Reverse(c)));
+        }
+    }
+    // `touched[o] == c`: `o` was already re-summed after placing `c`.
+    let mut touched = vec![usize::MAX; n];
+    while let Some((k, Reverse(c))) = heap.pop() {
+        if placed[c] || k != key[c] {
+            continue;
+        }
+        placed[c] = true;
+        order.push(c);
+        for &(_, o) in &cross[c] {
+            if !placed[o] && std::mem::replace(&mut touched[o], c) != c {
+                key[o] = total_order_key(strength(o, &placed));
+                heap.push((key[o], Reverse(o)));
+            }
+        }
+    }
+    order
+}
+
+/// Maps `x` to an integer whose order is `f64::total_cmp`'s.
+fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 #[cfg(test)]

@@ -33,9 +33,12 @@ pub fn greedy_traces(cfg: &Cfg, edge_weights: &[f64], threshold: f64) -> Layout 
     let n = cfg.len();
     // Block heat: total incoming + outgoing weight.
     let mut heat = vec![0.0; n];
+    // Outgoing edges of each block, in edge-index order.
+    let mut succ = vec![Vec::new(); n];
     for e in &edges {
         heat[e.from.index()] += edge_weights[e.index];
         heat[e.to.index()] += edge_weights[e.index];
+        succ[e.from.index()].push(e);
     }
 
     let mut placed = vec![false; n];
@@ -60,7 +63,7 @@ pub fn greedy_traces(cfg: &Cfg, edge_weights: &[f64], threshold: f64) -> Layout 
             order.push(ct_cfg::graph::BlockId(cur as u32));
             // Choose the heaviest outgoing edge meeting the threshold whose
             // target is unplaced.
-            let out: Vec<_> = edges.iter().filter(|e| e.from.index() == cur).collect();
+            let out = &succ[cur];
             let total: f64 = out.iter().map(|e| edge_weights[e.index]).sum();
             let next = out
                 .iter()

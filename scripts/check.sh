@@ -145,11 +145,18 @@ echo "== e18 smoke (telemetry on == off bitwise, overhead gate, flight dump) =="
 # metrics pump emit schema-valid JSONL. Diffing two thread counts extends
 # the determinism contract to the new histogram manifest section
 # (volatile *_ns / queue_depth histograms diff as notes only).
+# e18's stderr is kept in $trace_dir/e18_t{1,4}.stderr and printed when a
+# run fails, so an intermittent failure (say, its wall-clock overhead gate
+# under host load) can be told apart from a broken claim.
 cargo build --release -p ct-bench --bin e18_telemetry
-CT_SMOKE=1 CT_THREADS=1 CT_MANIFEST="$trace_dir/e18_t1.json" \
-    ./target/release/e18_telemetry > /dev/null 2> /dev/null
-CT_SMOKE=1 CT_THREADS=4 CT_MANIFEST="$trace_dir/e18_t4.json" \
-    ./target/release/e18_telemetry > /dev/null 2> /dev/null
+for threads in 1 4; do
+    if ! CT_SMOKE=1 CT_THREADS=$threads CT_MANIFEST="$trace_dir/e18_t$threads.json" \
+        ./target/release/e18_telemetry > /dev/null 2> "$trace_dir/e18_t$threads.stderr"; then
+        echo "e18_telemetry failed at CT_THREADS=$threads; its stderr:" >&2
+        cat "$trace_dir/e18_t$threads.stderr" >&2
+        exit 1
+    fi
+done
 ./target/release/ct-obs-diff "$trace_dir/e18_t1.json" "$trace_dir/e18_t4.json"
 ./target/release/ct-obs-top "$trace_dir/e18_t4.json" > /dev/null
 
